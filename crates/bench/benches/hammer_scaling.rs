@@ -9,7 +9,8 @@
 //! emitter for the measured trajectory.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use hammer_core::{global_chs, kernel, FilterRule, Hammer, KernelTuning};
+use hammer_core::kernel::{self, Keys};
+use hammer_core::{CancelToken, FilterRule, Hammer, KernelTuning};
 use hammer_dist::{BitString, Distribution};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -70,7 +71,10 @@ fn bench_global_chs(c: &mut Criterion) {
         let dist = synthetic(unique, 24, 13);
         group.throughput(Throughput::Elements((unique * unique) as u64));
         group.bench_with_input(BenchmarkId::from_parameter(unique), &dist, |b, d| {
-            b.iter(|| global_chs(d.keys(), d.probs(), 12));
+            b.iter(|| {
+                let (tuning, live) = (KernelTuning::default(), CancelToken::new());
+                kernel::chs_sweep(Keys::One(d.keys()), d.probs(), 12, 1, &tuning, &live)
+            });
         });
     }
     group.finish();
@@ -104,7 +108,8 @@ fn bench_kernel_scaling(c: &mut Criterion) {
         group.throughput(Throughput::Elements((unique * unique) as u64));
         group.bench_with_input(BenchmarkId::new("blocked_ws", unique), &dist, |b, d| {
             b.iter(|| {
-                kernel::scores_parallel(d.keys(), d.probs(), &weights, filter, threads, &tuning)
+                let (keys, live) = (Keys::One(d.keys()), CancelToken::new());
+                kernel::scores_sweep(keys, d.probs(), &weights, filter, threads, &tuning, &live)
             });
         });
     }

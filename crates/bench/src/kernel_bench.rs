@@ -9,8 +9,8 @@
 
 use std::time::Instant;
 
-use hammer_core::kernel::{self, reference};
-use hammer_core::{FilterRule, Hammer, KernelTuning};
+use hammer_core::kernel::{self, reference, Keys};
+use hammer_core::{CancelToken, FilterRule, Hammer, KernelTuning};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -131,12 +131,25 @@ fn run_sizes(
             .zip(probs.iter().copied())
             .collect();
 
+        let sweep = |threads| {
+            kernel::scores_sweep(
+                Keys::One(&keys),
+                &probs,
+                &weights,
+                filter,
+                threads,
+                &tuning,
+                &CancelToken::new(),
+            )
+            .expect("a fresh token never fires")
+        };
+
         let start = Instant::now();
-        let blocked = kernel::scores(&keys, &probs, &weights, filter, &tuning);
+        let blocked = sweep(1);
         let secs_blocked_serial = start.elapsed().as_secs_f64();
 
         let start = Instant::now();
-        let parallel = kernel::scores_parallel(&keys, &probs, &weights, filter, threads, &tuning);
+        let parallel = sweep(threads);
         let secs_parallel = start.elapsed().as_secs_f64();
         assert_eq!(parallel.len(), blocked.len());
 

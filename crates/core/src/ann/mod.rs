@@ -20,7 +20,8 @@
 //!   bits, which rescues neighbors that differ exactly at a sampled
 //!   position;
 //! * the deduplicated union is the **candidate set**: the approximate
-//!   scoring pass ([`score`]) visits only those pairs, and
+//!   scoring passes ([`try_scores_with_index`],
+//!   [`try_global_chs_with_index`]) visit only those pairs, and
 //!   [`AnnIndex::range_query`] post-filters them by exact distance.
 //!
 //! Trees are independent, so construction fans out one build job per
@@ -41,16 +42,15 @@
 use std::sync::Arc;
 
 use hammer_dist::Distribution;
-use hammer_pool::WorkerPool;
+use hammer_pool::{CancelToken, WorkerPool};
 
 use crate::config::AnnTuning;
+use crate::kernel::limbs::{Limbs, TwoLimbs};
 use crate::kernel::schedule;
 
 mod score;
 
-pub use score::{
-    global_chs_with_index, scores_with_index, try_global_chs_with_index, try_scores_with_index,
-};
+pub use score::{try_global_chs_with_index, try_scores_with_index};
 
 /// Default seed for the forest's bit-sampling streams. Fixed so that a
 /// given `(support, params)` always yields the same forest — the
@@ -137,21 +137,6 @@ struct Table {
 }
 
 impl Table {
-    /// Gathers this tree's sampled bits of a two-limb key.
-    #[inline]
-    fn hash(&self, key_lo: u64, key_hi: u64) -> u32 {
-        let mut h = 0u32;
-        for (j, &b) in self.bits.iter().enumerate() {
-            let bit = if b < 64 {
-                (key_lo >> b) & 1
-            } else {
-                (key_hi >> (b - 64)) & 1
-            };
-            h |= (bit as u32) << j;
-        }
-        h
-    }
-
     /// Appends one bucket's ids to `out`.
     #[inline]
     fn bucket_into(&self, h: u32, out: &mut Vec<u32>) {
@@ -165,7 +150,7 @@ impl Table {
 ///
 /// Owns a copy of the support's key limbs (so tree builds can travel to
 /// a [`WorkerPool`] as `'static` jobs and queries need no borrowed
-/// context), plus one [`Table`] per tree.
+/// context), plus one bucket table per tree.
 ///
 /// # Example
 ///
@@ -205,21 +190,16 @@ impl AnnIndex {
     ///
     /// # Panics
     ///
-    /// Panics if `threads` is 0 or the support exceeds `u32::MAX`
-    /// entries.
+    /// Panics if the support exceeds `u32::MAX` entries.
     #[must_use]
     pub fn build(dist: &Distribution, params: &AnnParams, threads: usize) -> Self {
         let _t = crate::obs_hooks::ann_build_hist().start();
         let (keys, keys_hi) = Self::limb_copies(dist);
-        let tables = if threads <= 1 || params.trees == 1 {
-            (0..params.trees)
-                .map(|t| build_table(&keys, &keys_hi, dist.n_bits(), params, t))
-                .collect()
-        } else {
-            schedule::run_tiles(params.trees, threads.min(params.trees), |t| {
-                build_table(&keys, &keys_hi, dist.n_bits(), params, t)
-            })
-        };
+        let never = CancelToken::new();
+        let tables = schedule::run_tiles(params.trees, threads.min(params.trees), &never, |t| {
+            build_table(&keys, &keys_hi, dist.n_bits(), params, t)
+        })
+        .expect("the build's own token never fires");
         Self {
             n_bits: dist.n_bits(),
             probe_radius: params.probe_radius,
@@ -329,7 +309,7 @@ impl AnnIndex {
     pub fn candidates_into(&self, key_lo: u64, key_hi: u64, out: &mut Vec<u32>) {
         out.clear();
         for table in &self.tables {
-            let h = table.hash(key_lo, key_hi);
+            let h = gather(&table.bits, key_lo, key_hi);
             let k = table.bits.len() as u32;
             table.bucket_into(h, out);
             if self.probe_radius >= 1 {
@@ -369,12 +349,27 @@ impl AnnIndex {
             .into_iter()
             .filter_map(|id| {
                 let i = id as usize;
-                let d = ((key_lo ^ self.keys[i]).count_ones()
-                    + (key_hi ^ self.keys_hi[i]).count_ones()) as usize;
+                let d = TwoLimbs::distance((key_lo, key_hi), (self.keys[i], self.keys_hi[i]));
                 (d <= max_d).then_some((id, d as u32))
             })
             .collect()
     }
+}
+
+/// Gathers the sampled bit positions of a two-limb key into a hash:
+/// hash bit `j` is register bit `bits[j]`.
+#[inline]
+fn gather(bits: &[u8], key_lo: u64, key_hi: u64) -> u32 {
+    let mut h = 0u32;
+    for (j, &b) in bits.iter().enumerate() {
+        let bit = if b < 64 {
+            (key_lo >> b) & 1
+        } else {
+            (key_hi >> (b - 64)) & 1
+        };
+        h |= (bit as u32) << j;
+    }
+    h
 }
 
 /// Builds tree `t`: samples `k` distinct bit positions from the tree's
@@ -398,19 +393,11 @@ fn build_table(
     let k = bits.len();
     let m = 1usize << k;
     let n = keys.len();
-    let mut hashes = vec![0u32; n];
-    for (i, h) in hashes.iter_mut().enumerate() {
-        let mut acc = 0u32;
-        for (j, &b) in bits.iter().enumerate() {
-            let bit = if b < 64 {
-                (keys[i] >> b) & 1
-            } else {
-                (keys_hi[i] >> (b - 64)) & 1
-            };
-            acc |= (bit as u32) << j;
-        }
-        *h = acc;
-    }
+    let hashes: Vec<u32> = keys
+        .iter()
+        .zip(keys_hi)
+        .map(|(&lo, &hi)| gather(&bits, lo, hi))
+        .collect();
     let mut starts = vec![0u32; m + 1];
     for &h in &hashes {
         starts[h as usize + 1] += 1;

@@ -18,107 +18,22 @@
 //! forest alone — results are bit-identical across thread counts.
 
 use crate::config::FilterRule;
+use crate::kernel::limbs::{Limbs, TwoLimbs};
 use crate::kernel::schedule;
+use crate::kernel::weights::PaddedWeights;
 use hammer_pool::{CancelToken, Cancelled};
 
 use super::AnnIndex;
 
-/// Zero-padded 129-slot weight table (every possible two-limb
-/// distance), so candidate pairs beyond `max_d` vanish without a
-/// branch.
-fn padded(weights: &[f64]) -> [f64; 129] {
-    let mut table = [0.0; 129];
-    for (slot, &w) in table.iter_mut().zip(weights) {
-        *slot = w;
-    }
-    table
-}
-
-/// Approximate [`crate::kernel::scores_parallel`]: every outcome's
+/// Approximate [`crate::kernel::scores_sweep`]: every outcome's
 /// neighborhood sum over its forest candidates only.
 ///
 /// `probs` must be index-aligned with the support the index was built
 /// from; `weights[d]` weighs distance `d` (shorter than 129 entries is
-/// zero-padded, the `d < max_d` cutoff).
-///
-/// # Panics
-///
-/// Panics if `probs` length differs from the indexed support, or
-/// `threads` is 0.
-#[must_use]
-pub fn scores_with_index(
-    index: &AnnIndex,
-    probs: &[f64],
-    weights: &[f64],
-    filter: FilterRule,
-    threads: usize,
-    tile_size: usize,
-) -> Vec<f64> {
-    let _t = crate::obs_hooks::ann_query_hist().start();
-    assert_eq!(
-        probs.len(),
-        index.len(),
-        "probabilities must align with the indexed support"
-    );
-    let table = padded(weights);
-    let keys = index.keys();
-    let keys_hi = index.keys_hi();
-    let n = probs.len();
-    let tile = tile_size.max(1);
-    let score_tile = |t: usize| {
-        let start = t * tile;
-        let end = (start + tile).min(n);
-        let mut cands: Vec<u32> = Vec::new();
-        let mut out = Vec::with_capacity(end - start);
-        for i in start..end {
-            index.candidates_of_into(i, &mut cands);
-            let (xlo, xhi, px) = (keys[i], keys_hi[i], probs[i]);
-            // Seed with the outcome's own probability (line 17), then
-            // add every candidate that survives the filter. Candidates
-            // include `i` itself: at d = 0 the π filter rejects it
-            // (px > px is false) and the unfiltered rule excludes self.
-            let mut acc = px;
-            match filter {
-                FilterRule::LowerProbabilityOnly => {
-                    for &id in &cands {
-                        let j = id as usize;
-                        let d = ((xlo ^ keys[j]).count_ones() + (xhi ^ keys_hi[j]).count_ones())
-                            as usize;
-                        let py = probs[j];
-                        acc += table[d] * if px > py { py } else { 0.0 };
-                    }
-                }
-                FilterRule::None => {
-                    for &id in &cands {
-                        let j = id as usize;
-                        if j == i {
-                            continue;
-                        }
-                        let d = ((xlo ^ keys[j]).count_ones() + (xhi ^ keys_hi[j]).count_ones())
-                            as usize;
-                        acc += table[d] * probs[j];
-                    }
-                }
-            }
-            out.push(acc);
-        }
-        out
-    };
-    if threads <= 1 {
-        let mut out = Vec::with_capacity(n);
-        for t in 0..n.div_ceil(tile) {
-            out.extend(score_tile(t));
-        }
-        out
-    } else {
-        schedule::run_tiles(n.div_ceil(tile), threads, score_tile).concat()
-    }
-}
-
-/// Cancellable [`scores_with_index`]: the token is checked before every
-/// tile (serial path) or tile claim (work-stealing path). Per-outcome
-/// accumulation order is fixed by the forest alone, so tiling — and
-/// therefore cancellation checks — never perturbs uncancelled results.
+/// zero-padded, the `d < max_d` cutoff). The token is checked before
+/// every tile (`threads <= 1`) or tile claim (work stealing).
+/// Per-outcome accumulation order is fixed by the forest alone, so
+/// neither tiling nor the thread count perturbs a result.
 ///
 /// # Errors
 ///
@@ -126,8 +41,7 @@ pub fn scores_with_index(
 ///
 /// # Panics
 ///
-/// Panics if `probs` length differs from the indexed support, or
-/// `threads` is 0.
+/// Panics if `probs` length differs from the indexed support.
 pub fn try_scores_with_index(
     index: &AnnIndex,
     probs: &[f64],
@@ -143,29 +57,29 @@ pub fn try_scores_with_index(
         index.len(),
         "probabilities must align with the indexed support"
     );
-    cancel.check()?;
-    let table = padded(weights);
-    let keys = index.keys();
-    let keys_hi = index.keys_hi();
+    let table = PaddedWeights::<TwoLimbs>::new(weights);
+    let keys: TwoLimbs = (index.keys(), index.keys_hi());
     let n = probs.len();
     let tile = tile_size.max(1);
     let score_tile = |t: usize| {
-        let start = t * tile;
-        let end = (start + tile).min(n);
+        let range = schedule::tile_range(t, tile, n);
         let mut cands: Vec<u32> = Vec::new();
-        let mut out = Vec::with_capacity(end - start);
-        for i in start..end {
+        let mut out = Vec::with_capacity(range.len());
+        for i in range {
             index.candidates_of_into(i, &mut cands);
-            let (xlo, xhi, px) = (keys[i], keys_hi[i], probs[i]);
+            let (x, px) = (keys.key(i), probs[i]);
+            // Seed with the outcome's own probability (line 17), then
+            // add every candidate that survives the filter. Candidates
+            // include `i` itself: at d = 0 the π filter rejects it
+            // (px > px is false) and the unfiltered rule excludes self.
             let mut acc = px;
             match filter {
                 FilterRule::LowerProbabilityOnly => {
                     for &id in &cands {
                         let j = id as usize;
-                        let d = ((xlo ^ keys[j]).count_ones() + (xhi ^ keys_hi[j]).count_ones())
-                            as usize;
+                        let d = TwoLimbs::distance(x, keys.key(j));
                         let py = probs[j];
-                        acc += table[d] * if px > py { py } else { 0.0 };
+                        acc += table.get(d) * if px > py { py } else { 0.0 };
                     }
                 }
                 FilterRule::None => {
@@ -174,9 +88,7 @@ pub fn try_scores_with_index(
                         if j == i {
                             continue;
                         }
-                        let d = ((xlo ^ keys[j]).count_ones() + (xhi ^ keys_hi[j]).count_ones())
-                            as usize;
-                        acc += table[d] * probs[j];
+                        acc += table.get(TwoLimbs::distance(x, keys.key(j))) * probs[j];
                     }
                 }
             }
@@ -184,86 +96,16 @@ pub fn try_scores_with_index(
         }
         out
     };
-    if threads <= 1 {
-        let mut out = Vec::with_capacity(n);
-        for t in 0..n.div_ceil(tile) {
-            cancel.check()?;
-            out.extend(score_tile(t));
-        }
-        Ok(out)
-    } else {
-        schedule::run_tiles_cancellable(n.div_ceil(tile), threads, Some(cancel), score_tile)
-            .map(|tiles| tiles.concat())
-    }
+    schedule::run_tiles(n.div_ceil(tile), threads, cancel, score_tile).map(|tiles| tiles.concat())
 }
 
-/// Approximate [`crate::kernel::global_chs_parallel`]: the Hamming
-/// histogram accumulated over forest candidate pairs only, truncated or
+/// Approximate [`crate::kernel::chs_sweep`]: the Hamming histogram
+/// accumulated over forest candidate pairs only, truncated or
 /// zero-padded to `max_d` bins. The diagonal (each outcome with itself)
 /// is always covered — an outcome's own bucket is always probed — so
-/// bin 0 matches the exact kernel exactly.
-///
-/// # Panics
-///
-/// Panics if `probs` length differs from the indexed support, or
-/// `threads` is 0.
-#[must_use]
-pub fn global_chs_with_index(
-    index: &AnnIndex,
-    probs: &[f64],
-    max_d: usize,
-    threads: usize,
-    tile_size: usize,
-) -> Vec<f64> {
-    let _t = crate::obs_hooks::ann_query_hist().start();
-    assert_eq!(
-        probs.len(),
-        index.len(),
-        "probabilities must align with the indexed support"
-    );
-    let keys = index.keys();
-    let keys_hi = index.keys_hi();
-    let n = probs.len();
-    let tile = tile_size.max(1);
-    let chs_tile = |t: usize| {
-        let start = t * tile;
-        let end = (start + tile).min(n);
-        let mut cands: Vec<u32> = Vec::new();
-        let mut bins = vec![0.0f64; 129];
-        for i in start..end {
-            index.candidates_of_into(i, &mut cands);
-            let (xlo, xhi) = (keys[i], keys_hi[i]);
-            for &id in &cands {
-                let j = id as usize;
-                let d = ((xlo ^ keys[j]).count_ones() + (xhi ^ keys_hi[j]).count_ones()) as usize;
-                bins[d] += probs[j];
-            }
-        }
-        bins
-    };
-    let n_tiles = n.div_ceil(tile);
-    let mut full = vec![0.0f64; 129];
-    if threads <= 1 {
-        for t in 0..n_tiles {
-            for (acc, v) in full.iter_mut().zip(chs_tile(t)) {
-                *acc += v;
-            }
-        }
-    } else {
-        for partial in schedule::run_tiles(n_tiles, threads, chs_tile) {
-            for (acc, v) in full.iter_mut().zip(partial) {
-                *acc += v;
-            }
-        }
-    }
-    full.truncate(max_d);
-    full.resize(max_d, 0.0);
-    full
-}
-
-/// Cancellable [`global_chs_with_index`]: per-tile checks on both the
-/// serial and work-stealing paths (both merge per-tile bin partials in
-/// tile order, so the check sites cannot change summation order).
+/// bin 0 matches the exact kernel exactly. Per-tile bin partials are
+/// merged in tile order at any thread count, with the token checked
+/// before every tile.
 ///
 /// # Errors
 ///
@@ -271,8 +113,7 @@ pub fn global_chs_with_index(
 ///
 /// # Panics
 ///
-/// Panics if `probs` length differs from the indexed support, or
-/// `threads` is 0.
+/// Panics if `probs` length differs from the indexed support.
 pub fn try_global_chs_with_index(
     index: &AnnIndex,
     probs: &[f64],
@@ -287,44 +128,28 @@ pub fn try_global_chs_with_index(
         index.len(),
         "probabilities must align with the indexed support"
     );
-    cancel.check()?;
-    let keys = index.keys();
-    let keys_hi = index.keys_hi();
+    let keys: TwoLimbs = (index.keys(), index.keys_hi());
     let n = probs.len();
     let tile = tile_size.max(1);
     let chs_tile = |t: usize| {
-        let start = t * tile;
-        let end = (start + tile).min(n);
         let mut cands: Vec<u32> = Vec::new();
-        let mut bins = vec![0.0f64; 129];
-        for i in start..end {
+        let mut bins = TwoLimbs::ZERO_BINS;
+        for i in schedule::tile_range(t, tile, n) {
             index.candidates_of_into(i, &mut cands);
-            let (xlo, xhi) = (keys[i], keys_hi[i]);
+            let x = keys.key(i);
             for &id in &cands {
                 let j = id as usize;
-                let d = ((xlo ^ keys[j]).count_ones() + (xhi ^ keys_hi[j]).count_ones()) as usize;
-                bins[d] += probs[j];
+                bins[TwoLimbs::distance(x, keys.key(j))] += probs[j];
             }
         }
         bins
     };
-    let n_tiles = n.div_ceil(tile);
-    let mut full = vec![0.0f64; 129];
-    if threads <= 1 {
-        for t in 0..n_tiles {
-            cancel.check()?;
-            for (acc, v) in full.iter_mut().zip(chs_tile(t)) {
-                *acc += v;
-            }
-        }
-    } else {
-        for partial in schedule::run_tiles_cancellable(n_tiles, threads, Some(cancel), chs_tile)? {
-            for (acc, v) in full.iter_mut().zip(partial) {
-                *acc += v;
-            }
+    let mut full = vec![0.0f64; TwoLimbs::SLOTS];
+    for partial in schedule::run_tiles(n.div_ceil(tile), threads, cancel, chs_tile)? {
+        for (acc, v) in full.iter_mut().zip(partial) {
+            *acc += v;
         }
     }
-    full.truncate(max_d);
     full.resize(max_d, 0.0);
     Ok(full)
 }
@@ -335,6 +160,29 @@ mod tests {
     use super::*;
     use crate::kernel::reference;
     use hammer_dist::{BitString, Distribution};
+
+    fn scores_with_index(
+        index: &AnnIndex,
+        probs: &[f64],
+        weights: &[f64],
+        filter: FilterRule,
+        threads: usize,
+        tile_size: usize,
+    ) -> Vec<f64> {
+        let live = CancelToken::new();
+        try_scores_with_index(index, probs, weights, filter, threads, tile_size, &live).unwrap()
+    }
+
+    fn global_chs_with_index(
+        index: &AnnIndex,
+        probs: &[f64],
+        max_d: usize,
+        threads: usize,
+        tile_size: usize,
+    ) -> Vec<f64> {
+        let live = CancelToken::new();
+        try_global_chs_with_index(index, probs, max_d, threads, tile_size, &live).unwrap()
+    }
 
     /// A mid-size pseudo-random support (64-bit keys, skewed probs).
     fn support(n: usize, n_bits: usize) -> Distribution {

@@ -9,52 +9,48 @@
 //! atomic cursor, so load imbalance is bounded by a single tile rather
 //! than by `N / threads`.
 
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use hammer_pool::{CancelToken, Cancelled};
 
-/// Runs `work(tile_index)` for every tile in `0..n_tiles` across
-/// `threads` workers and returns the results in tile order.
+/// Runs `work(tile_index)` for every tile in `0..n_tiles` and returns
+/// the results in tile order, checking the token before every tile.
 ///
-/// Workers self-schedule by `fetch_add`-ing a shared cursor (the
-/// work-stealing discipline: idle threads immediately pull the next
-/// unclaimed tile instead of waiting on a static partition). `work`
-/// must be pure per tile — results are collected per worker and stitched
-/// back into tile order after the scope joins, so no worker ever writes
-/// shared state.
-///
-/// # Panics
-///
-/// Panics if a worker panics (propagated by the scoped-thread join) or
-/// if `threads` is zero.
-pub(crate) fn run_tiles<T, F>(n_tiles: usize, threads: usize, work: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    run_tiles_cancellable(n_tiles, threads, None, work)
-        .expect("no token, so the run cannot be cancelled")
-}
-
-/// [`run_tiles`] with a cancellation check before every tile claim.
+/// With `threads <= 1` the tiles run in order on the calling thread.
+/// Otherwise `threads` scoped workers self-schedule by `fetch_add`-ing a
+/// shared cursor (the work-stealing discipline: idle threads
+/// immediately pull the next unclaimed tile instead of waiting on a
+/// static partition). `work` must be pure per tile — results are
+/// collected per worker and stitched back into tile order after the
+/// scope joins, so no worker ever writes shared state, and the output
+/// is the same on either path and at any thread count.
 ///
 /// A fired token makes every worker stop claiming; tiles already in
 /// flight finish (bounding cancellation latency to one tile of work per
-/// worker) and the whole call returns `Err(Cancelled)`. An *uncancelled*
-/// run takes exactly the same path as [`run_tiles`] — same claim order
-/// discipline, same per-worker collection, same tile-order stitching —
-/// so results stay bit-identical whether or not a token is supplied.
-pub(crate) fn run_tiles_cancellable<T, F>(
+/// worker) and the whole call returns `Err(Cancelled)`.
+///
+/// # Panics
+///
+/// Panics if a worker panics (propagated by the scoped-thread join).
+pub(crate) fn run_tiles<T, F>(
     n_tiles: usize,
     threads: usize,
-    cancel: Option<&CancelToken>,
+    cancel: &CancelToken,
     work: F,
 ) -> Result<Vec<T>, Cancelled>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    assert!(threads >= 1, "need at least one worker");
+    if threads <= 1 {
+        return (0..n_tiles)
+            .map(|t| {
+                cancel.check()?;
+                Ok(work(t))
+            })
+            .collect();
+    }
     let cursor = AtomicUsize::new(0);
     let mut slots: Vec<Option<T>> = (0..n_tiles).map(|_| None).collect();
     let mut cancelled = false;
@@ -64,7 +60,7 @@ where
                 scope.spawn(|_| {
                     let mut claimed: Vec<(usize, T)> = Vec::new();
                     loop {
-                        if cancel.is_some_and(CancelToken::is_cancelled) {
+                        if cancel.is_cancelled() {
                             return Err(Cancelled);
                         }
                         let t = cursor.fetch_add(1, Ordering::Relaxed);
@@ -98,14 +94,24 @@ where
         .collect())
 }
 
+/// The indices `0..n` cover in outer tile `t` of `tile` entries.
+pub(crate) fn tile_range(t: usize, tile: usize, n: usize) -> Range<usize> {
+    let start = t * tile;
+    start..(start + tile).min(n)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn run<T: Send>(n_tiles: usize, threads: usize, work: impl Fn(usize) -> T + Sync) -> Vec<T> {
+        run_tiles(n_tiles, threads, &CancelToken::new(), work).expect("token never fires")
+    }
+
     #[test]
     fn covers_every_tile_in_order() {
         for threads in [1, 2, 7] {
-            let got = run_tiles(23, threads, |t| t * 10);
+            let got = run(23, threads, |t| t * 10);
             let want: Vec<usize> = (0..23).map(|t| t * 10).collect();
             assert_eq!(got, want, "threads={threads}");
         }
@@ -113,15 +119,9 @@ mod tests {
 
     #[test]
     fn zero_tiles_is_empty() {
-        let got: Vec<usize> = run_tiles(0, 4, |t| t);
-        assert!(got.is_empty());
-    }
-
-    #[test]
-    fn cancellable_run_without_a_token_matches_run_tiles() {
-        for threads in [1, 3] {
-            let got = run_tiles_cancellable(17, threads, None, |t| t * 7).unwrap();
-            assert_eq!(got, run_tiles(17, threads, |t| t * 7));
+        for threads in [1, 4] {
+            let got: Vec<usize> = run(0, threads, |t| t);
+            assert!(got.is_empty());
         }
     }
 
@@ -129,41 +129,41 @@ mod tests {
     fn pre_cancelled_token_stops_before_any_tile_runs() {
         let token = CancelToken::new();
         token.cancel();
-        let ran = AtomicUsize::new(0);
-        let got = run_tiles_cancellable(100, 4, Some(&token), |t| {
-            ran.fetch_add(1, Ordering::Relaxed);
-            t
-        });
-        assert_eq!(got, Err(Cancelled));
-        assert_eq!(ran.load(Ordering::Relaxed), 0);
+        for threads in [1, 4] {
+            let ran = AtomicUsize::new(0);
+            let got = run_tiles(100, threads, &token, |t| {
+                ran.fetch_add(1, Ordering::Relaxed);
+                t
+            });
+            assert_eq!(got, Err(Cancelled));
+            assert_eq!(ran.load(Ordering::Relaxed), 0, "threads={threads}");
+        }
     }
 
     #[test]
     fn mid_run_cancel_skips_remaining_tiles() {
-        let token = CancelToken::new();
-        let ran = AtomicUsize::new(0);
-        let got = {
-            let token = &token;
-            let ran = &ran;
-            run_tiles_cancellable(1000, 2, Some(token), move |t| {
+        for threads in [1, 2] {
+            let token = CancelToken::new();
+            let ran = AtomicUsize::new(0);
+            let got = run_tiles(1000, threads, &token, |t| {
                 // Trip the token early; later claims must be refused.
                 if t == 3 {
                     token.cancel();
                 }
                 ran.fetch_add(1, Ordering::Relaxed);
                 t
-            })
-        };
-        assert_eq!(got, Err(Cancelled));
-        let executed = ran.load(Ordering::Relaxed);
-        assert!(executed < 1000, "ran all {executed} tiles despite cancel");
+            });
+            assert_eq!(got, Err(Cancelled));
+            let executed = ran.load(Ordering::Relaxed);
+            assert!(executed < 1000, "ran all {executed} tiles despite cancel");
+        }
     }
 
     #[test]
     fn imbalanced_tiles_all_complete() {
         // Tile cost varies by three orders of magnitude; the dynamic
         // cursor must still cover everything exactly once.
-        let got = run_tiles(40, 7, |t| {
+        let got = run(40, 7, |t| {
             let spins = if t % 13 == 0 { 200_000 } else { 100 };
             let mut acc = t as u64;
             for i in 0..spins {

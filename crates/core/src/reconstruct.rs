@@ -1,5 +1,6 @@
 //! Hamming Reconstruction — Algorithm 1 of the paper.
 
+use std::cell::OnceCell;
 use std::sync::Arc;
 
 use hammer_dist::{spectrum, BitString, Distribution};
@@ -7,7 +8,7 @@ use hammer_pool::{CancelToken, Cancelled, WorkerPool};
 
 use crate::ann::{self, AnnIndex, AnnParams};
 use crate::config::{FilterRule, HammerConfig, WeightScheme};
-use crate::kernel;
+use crate::kernel::{self, Keys};
 use crate::trace::{HammerTrace, ScoreBreakdown};
 
 /// The Hamming Reconstruction post-processor.
@@ -162,102 +163,195 @@ impl Hammer {
         self.threads
     }
 
-    /// Decides whether the ANN path replaces the exact kernel for this
-    /// distribution, and resolves its build parameters if so.
+    /// Resolves the kernel every sweep of one call runs on — the only
+    /// place that chooses one:
     ///
-    /// The gate requires *all* of:
+    /// * `threads == 1` pins the scalar reference oracle (which doubles
+    ///   as the ANN path's recall oracle);
+    /// * the LSH forest replaces the exact kernel when *all* of these
+    ///   hold: the tuning enables it (`AnnTuning::enabled`); the
+    ///   support is at least `AnnTuning::crossover` outcomes (below
+    ///   it the exact blocked kernel wins outright); and the
+    ///   neighborhood is *local*, `4 · max_d ≤ n_bits`. Bit-sampling LSH
+    ///   separates pairs by `(1 − d/n)^k`; at the paper's half-width
+    ///   default (`max_d = n/2`) nearly half of all random pairs are in
+    ///   range and no hashing scheme can prune the sweep, so the default
+    ///   configuration never takes this path;
+    /// * otherwise the exact blocked kernel runs over one key limb, or
+    ///   two for registers wider than 64 bits.
     ///
-    /// * the tuning enables it ([`AnnTuning::enabled`]);
-    /// * `threads != 1` — one thread pins the scalar reference oracle,
-    ///   which doubles as the ANN path's recall oracle;
-    /// * the support is at least [`AnnTuning::crossover`] outcomes —
-    ///   below it the exact blocked kernel wins outright (and stays
-    ///   bit-identical to earlier releases);
-    /// * the neighborhood is *local*: `4 · max_d ≤ n_bits`. Bit-sampling
-    ///   LSH separates pairs by `(1 − d/n)^k`; at the paper's half-width
-    ///   default (`max_d = n/2`) nearly half of all random pairs are
-    ///   in range and no hashing scheme can prune the sweep, so the
-    ///   default configuration never takes this path.
-    fn ann_params(&self, dist: &Distribution) -> Option<AnnParams> {
+    /// Bumps the plan's `core.plan.*` counter.
+    fn plan<'a>(&self, dist: &'a Distribution) -> Plan<'a> {
         let tuning = &self.config.kernel.ann;
         let n_bits = dist.n_bits();
-        let max_d = self.config.neighborhood.max_distance(n_bits);
-        let engaged = tuning.enabled
-            && self.threads != 1
+        // `slot` indexes the `core.plan.*` counters.
+        let (slot, plan) = if self.threads == 1 {
+            (0, Plan::Reference)
+        } else if tuning.enabled
             && dist.len() >= tuning.crossover.max(2)
-            && max_d * 4 <= n_bits;
-        engaged.then(|| AnnParams::resolve(tuning, dist.len(), n_bits))
+            && self.max_distance(dist) * 4 <= n_bits
+        {
+            let params = AnnParams::resolve(tuning, dist.len(), n_bits);
+            (3, Plan::Ann(params, OnceCell::new()))
+        } else if n_bits > 64 {
+            (2, Plan::Exact(Keys::Two(dist.keys(), dist.keys_hi())))
+        } else {
+            (1, Plan::Exact(Keys::One(dist.keys())))
+        };
+        crate::obs_hooks::plan_counters()[slot].inc();
+        plan
     }
 
-    /// Builds the LSH forest — on the attached persistent pool if one
-    /// was provided, over scoped threads otherwise. Bit-identical either
-    /// way.
-    fn build_index(&self, dist: &Distribution, params: &AnnParams) -> AnnIndex {
-        match &self.pool {
+    fn max_distance(&self, dist: &Distribution) -> usize {
+        self.config.neighborhood.max_distance(dist.n_bits())
+    }
+
+    /// The forest of an ANN plan, built on first use — on the attached
+    /// persistent pool if one was provided, over scoped threads
+    /// otherwise. Bit-identical either way.
+    fn index<'p>(
+        &self,
+        dist: &Distribution,
+        params: &AnnParams,
+        index: &'p OnceCell<AnnIndex>,
+    ) -> &'p AnnIndex {
+        index.get_or_init(|| match &self.pool {
             Some(pool) => AnnIndex::build_on(dist, params, pool),
             None => AnnIndex::build(dist, params, self.threads),
+        })
+    }
+
+    /// The distribution-wide CHS (Algorithm 1 lines 3–8) on the plan's
+    /// kernel.
+    fn chs_sweep(
+        &self,
+        plan: &Plan<'_>,
+        dist: &Distribution,
+        cancel: &CancelToken,
+    ) -> Result<Vec<f64>, Cancelled> {
+        let max_d = self.max_distance(dist);
+        let tuning = &self.config.kernel;
+        match plan {
+            Plan::Reference => {
+                // The scalar oracle has no tile structure to hook; honor
+                // the token at entry (serving always runs threads ≥ 2).
+                cancel.check()?;
+                Ok(kernel::reference::global_chs(dist.as_slice(), max_d))
+            }
+            Plan::Exact(keys) => {
+                kernel::chs_sweep(*keys, dist.probs(), max_d, self.threads, tuning, cancel)
+            }
+            Plan::Ann(params, index) => ann::try_global_chs_with_index(
+                self.index(dist, params, index),
+                dist.probs(),
+                max_d,
+                self.threads,
+                tuning.tile_size,
+                cancel,
+            ),
         }
     }
 
-    /// The distribution-wide CHS through the kernel selected by the
-    /// thread count: the scalar reference oracle at `threads == 1`, the
-    /// ANN candidate pass when the [`ann_params`](Hammer::ann_params)
-    /// gate opens, the blocked/work-stealing kernel otherwise.
-    fn global_chs_dispatch(&self, dist: &Distribution, max_d: usize) -> Vec<f64> {
-        if let Some(params) = self.ann_params(dist) {
-            let index = self.build_index(dist, &params);
-            return ann::global_chs_with_index(
-                &index,
+    /// Every outcome's neighborhood score (Algorithm 1 lines 16–21) on
+    /// the plan's kernel.
+    fn scores_sweep(
+        &self,
+        plan: &Plan<'_>,
+        dist: &Distribution,
+        weights: &[f64],
+        cancel: &CancelToken,
+    ) -> Result<Vec<f64>, Cancelled> {
+        let (filter, tuning) = (self.config.filter, &self.config.kernel);
+        match plan {
+            Plan::Reference => {
+                cancel.check()?;
+                Ok(kernel::reference::scores(dist.as_slice(), weights, filter))
+            }
+            Plan::Exact(keys) => kernel::scores_sweep(
+                *keys,
                 dist.probs(),
-                max_d,
+                weights,
+                filter,
                 self.threads,
-                self.config.kernel.tile_size,
-            );
+                tuning,
+                cancel,
+            ),
+            Plan::Ann(params, index) => ann::try_scores_with_index(
+                self.index(dist, params, index),
+                dist.probs(),
+                weights,
+                filter,
+                self.threads,
+                tuning.tile_size,
+                cancel,
+            ),
         }
-        if self.threads == 1 {
-            kernel::reference::global_chs(dist.as_slice(), max_d)
-        } else if dist.n_bits() > 64 {
-            kernel::wide::global_chs_parallel(
-                dist.keys(),
-                dist.keys_hi(),
-                dist.probs(),
-                max_d,
-                self.threads,
-                &self.config.kernel,
-            )
-        } else {
-            kernel::global_chs_parallel(
-                dist.keys(),
-                dist.probs(),
-                max_d,
-                self.threads,
-                &self.config.kernel,
-            )
+    }
+
+    /// The cancellable Algorithm 1 pipeline behind every public entry
+    /// point: CHS → weights → scores → apply, with the plan resolved
+    /// once and the LSH forest built at most once per call. `goal` picks
+    /// the stages that run.
+    fn run(
+        &self,
+        dist: &Distribution,
+        goal: Goal<'_>,
+        cancel: &CancelToken,
+    ) -> Result<Stages, Cancelled> {
+        cancel.check()?;
+        // Fewer than two outcomes carry no neighborhood information.
+        let trivial = dist.len() < 2;
+        if trivial && matches!(goal, Goal::Reconstruct | Goal::WithWeights(_)) {
+            return Ok(Stages {
+                output: Some(dist.clone()),
+                ..Stages::default()
+            });
         }
+        let plan = self.plan(dist);
+        // The measured global CHS is an O(N²) pass — only schemes that
+        // invert it (and traces) pay for it.
+        let inverts = matches!(
+            self.config.weights,
+            WeightScheme::InverseAverageChs | WeightScheme::InverseGlobalChs
+        );
+        let global_chs = match goal {
+            Goal::Trace => self.chs_sweep(&plan, dist, cancel)?,
+            Goal::Weights | Goal::Reconstruct if inverts => self.chs_sweep(&plan, dist, cancel)?,
+            _ => Vec::new(),
+        };
+        let weights = match goal {
+            Goal::WithWeights(weights) => weights.to_vec(),
+            _ => self.weights_from_chs(dist, &global_chs),
+        };
+        let output = match goal {
+            Goal::Weights => None,
+            _ if trivial => Some(dist.clone()),
+            _ => {
+                let scores = self.scores_sweep(&plan, dist, &weights, cancel)?;
+                Some(self.apply_scores(dist, &scores))
+            }
+        };
+        Ok(Stages {
+            global_chs,
+            weights,
+            output,
+        })
     }
 
     /// Derives the per-distance weight vector for a distribution
     /// (Algorithm 1 lines 10–13, or an ablation variant).
     #[must_use]
     pub fn weights(&self, dist: &Distribution) -> Vec<f64> {
-        let max_d = self.config.neighborhood.max_distance(dist.n_bits());
-        // The measured global CHS is an O(N²) pass — only schemes that
-        // invert it pay for it.
-        let chs = match self.config.weights {
-            WeightScheme::InverseAverageChs | WeightScheme::InverseGlobalChs => {
-                self.global_chs_dispatch(dist, max_d)
-            }
-            WeightScheme::Uniform | WeightScheme::InverseBinomial => Vec::new(),
-        };
-        self.weights_from_chs(dist, max_d, &chs)
+        self.run(dist, Goal::Weights, &CancelToken::new())
+            .expect(UNCANCELLED)
+            .weights
     }
 
     /// Weight derivation from an already-computed global CHS (ignored
-    /// by the schemes that do not invert a measured CHS), so callers
-    /// like [`trace`](Hammer::trace) that need both never run the
-    /// `O(N²)` CHS pass twice.
-    fn weights_from_chs(&self, dist: &Distribution, max_d: usize, chs: &[f64]) -> Vec<f64> {
+    /// by the schemes that do not invert a measured CHS).
+    fn weights_from_chs(&self, dist: &Distribution, chs: &[f64]) -> Vec<f64> {
         let n = dist.n_bits();
+        let max_d = self.max_distance(dist);
         match self.config.weights {
             WeightScheme::InverseAverageChs => {
                 let n_unique = dist.len().max(1) as f64;
@@ -284,81 +378,18 @@ impl Hammer {
     /// unchanged — there is no neighborhood information to exploit.
     #[must_use]
     pub fn reconstruct(&self, dist: &Distribution) -> Distribution {
-        let _t = crate::obs_hooks::reconstruct_hist().start();
-        if dist.len() < 2 {
-            return dist.clone();
-        }
-        // ANN fast path: build the forest once and reuse it for both
-        // O(N·candidates) passes (CHS → weights, then scores). The
-        // dispatch in `weights`/`reconstruct_with_weights` would land on
-        // the same results, but would build the index twice.
-        if let Some(params) = self.ann_params(dist) {
-            let index = self.build_index(dist, &params);
-            let max_d = self.config.neighborhood.max_distance(dist.n_bits());
-            let tile = self.config.kernel.tile_size;
-            let chs = match self.config.weights {
-                WeightScheme::InverseAverageChs | WeightScheme::InverseGlobalChs => {
-                    ann::global_chs_with_index(&index, dist.probs(), max_d, self.threads, tile)
-                }
-                WeightScheme::Uniform | WeightScheme::InverseBinomial => Vec::new(),
-            };
-            let weights = self.weights_from_chs(dist, max_d, &chs);
-            let scores = ann::scores_with_index(
-                &index,
-                dist.probs(),
-                &weights,
-                self.config.filter,
-                self.threads,
-                tile,
-            );
-            return self.apply_scores(dist, &scores);
-        }
-        let weights = self.weights(dist);
-        self.reconstruct_with_weights(dist, &weights)
+        self.try_reconstruct(dist, &CancelToken::new())
+            .expect(UNCANCELLED)
     }
 
     /// Reconstruction with a caller-supplied weight vector (used by the
     /// trace API and the weight-scheme ablations).
     #[must_use]
     pub fn reconstruct_with_weights(&self, dist: &Distribution, weights: &[f64]) -> Distribution {
-        if dist.len() < 2 {
-            return dist.clone();
-        }
-        if let Some(params) = self.ann_params(dist) {
-            let index = self.build_index(dist, &params);
-            let scores = ann::scores_with_index(
-                &index,
-                dist.probs(),
-                weights,
-                self.config.filter,
-                self.threads,
-                self.config.kernel.tile_size,
-            );
-            return self.apply_scores(dist, &scores);
-        }
-        let scores = if self.threads == 1 {
-            kernel::reference::scores(dist.as_slice(), weights, self.config.filter)
-        } else if dist.n_bits() > 64 {
-            kernel::wide::scores_parallel(
-                dist.keys(),
-                dist.keys_hi(),
-                dist.probs(),
-                weights,
-                self.config.filter,
-                self.threads,
-                &self.config.kernel,
-            )
-        } else {
-            kernel::scores_parallel(
-                dist.keys(),
-                dist.probs(),
-                weights,
-                self.config.filter,
-                self.threads,
-                &self.config.kernel,
-            )
-        };
-        self.apply_scores(dist, &scores)
+        self.run(dist, Goal::WithWeights(weights), &CancelToken::new())
+            .expect(UNCANCELLED)
+            .output
+            .expect("a reconstructing goal yields an output")
     }
 
     /// The likelihood update + renormalization tail of Algorithm 1:
@@ -406,10 +437,9 @@ impl Hammer {
     /// burning the rest of the sweep. The serving tier threads each
     /// request's deadline through here.
     ///
-    /// The token is a per-call value, not reconstructor state: the
-    /// infallible entry points are untouched, and an uncancelled
-    /// `try_reconstruct` is bit-identical to `reconstruct` (pinned by
-    /// the cancellation test suite).
+    /// The token is a per-call value, not reconstructor state, and an
+    /// uncancelled `try_reconstruct` is bit-identical to `reconstruct`,
+    /// which is this call with a token that never fires.
     ///
     /// # Errors
     ///
@@ -421,108 +451,10 @@ impl Hammer {
         cancel: &CancelToken,
     ) -> Result<Distribution, Cancelled> {
         let _t = crate::obs_hooks::reconstruct_hist().start();
-        cancel.check()?;
-        if dist.len() < 2 {
-            return Ok(dist.clone());
-        }
-        let max_d = self.config.neighborhood.max_distance(dist.n_bits());
-        if let Some(params) = self.ann_params(dist) {
-            let index = self.build_index(dist, &params);
-            cancel.check()?;
-            let tile = self.config.kernel.tile_size;
-            let chs = match self.config.weights {
-                WeightScheme::InverseAverageChs | WeightScheme::InverseGlobalChs => {
-                    ann::try_global_chs_with_index(
-                        &index,
-                        dist.probs(),
-                        max_d,
-                        self.threads,
-                        tile,
-                        cancel,
-                    )?
-                }
-                WeightScheme::Uniform | WeightScheme::InverseBinomial => Vec::new(),
-            };
-            let weights = self.weights_from_chs(dist, max_d, &chs);
-            let scores = ann::try_scores_with_index(
-                &index,
-                dist.probs(),
-                &weights,
-                self.config.filter,
-                self.threads,
-                tile,
-                cancel,
-            )?;
-            return Ok(self.apply_scores(dist, &scores));
-        }
-        let chs = match self.config.weights {
-            WeightScheme::InverseAverageChs | WeightScheme::InverseGlobalChs => {
-                self.try_global_chs_dispatch(dist, max_d, cancel)?
-            }
-            WeightScheme::Uniform | WeightScheme::InverseBinomial => Vec::new(),
-        };
-        let weights = self.weights_from_chs(dist, max_d, &chs);
-        let scores = if self.threads == 1 {
-            // The scalar oracle has no tile structure to hook; honor the
-            // token at entry (serving always runs threads ≥ 2).
-            cancel.check()?;
-            kernel::reference::scores(dist.as_slice(), &weights, self.config.filter)
-        } else if dist.n_bits() > 64 {
-            kernel::wide::try_scores_parallel(
-                dist.keys(),
-                dist.keys_hi(),
-                dist.probs(),
-                &weights,
-                self.config.filter,
-                self.threads,
-                &self.config.kernel,
-                cancel,
-            )?
-        } else {
-            kernel::try_scores_parallel(
-                dist.keys(),
-                dist.probs(),
-                &weights,
-                self.config.filter,
-                self.threads,
-                &self.config.kernel,
-                cancel,
-            )?
-        };
-        Ok(self.apply_scores(dist, &scores))
-    }
-
-    /// Cancellable CHS dispatch: the non-ANN twin of
-    /// [`global_chs_dispatch`](Hammer::global_chs_dispatch).
-    fn try_global_chs_dispatch(
-        &self,
-        dist: &Distribution,
-        max_d: usize,
-        cancel: &CancelToken,
-    ) -> Result<Vec<f64>, Cancelled> {
-        if self.threads == 1 {
-            cancel.check()?;
-            Ok(kernel::reference::global_chs(dist.as_slice(), max_d))
-        } else if dist.n_bits() > 64 {
-            kernel::wide::try_global_chs_parallel(
-                dist.keys(),
-                dist.keys_hi(),
-                dist.probs(),
-                max_d,
-                self.threads,
-                &self.config.kernel,
-                cancel,
-            )
-        } else {
-            kernel::try_global_chs_parallel(
-                dist.keys(),
-                dist.probs(),
-                max_d,
-                self.threads,
-                &self.config.kernel,
-                cancel,
-            )
-        }
+        let stages = self.run(dist, Goal::Reconstruct, cancel)?;
+        Ok(stages
+            .output
+            .expect("a reconstructing goal yields an output"))
     }
 
     /// Cancellable [`reconstruct_counts`](Hammer::reconstruct_counts).
@@ -545,14 +477,16 @@ impl Hammer {
     /// data behind Fig. 7.
     #[must_use]
     pub fn trace(&self, dist: &Distribution) -> HammerTrace {
-        let n = dist.n_bits();
-        let max_d = self.config.neighborhood.max_distance(n);
-        let global_chs = self.global_chs_dispatch(dist, max_d);
-        let weights = self.weights_from_chs(dist, max_d, &global_chs);
-        let output = self.reconstruct_with_weights(dist, &weights);
+        let Stages {
+            global_chs,
+            weights,
+            output,
+        } = self
+            .run(dist, Goal::Trace, &CancelToken::new())
+            .expect(UNCANCELLED);
         HammerTrace {
-            n_bits: n,
-            max_distance: max_d,
+            n_bits: dist.n_bits(),
+            max_distance: self.max_distance(dist),
             average_chs: global_chs
                 .iter()
                 .map(|v| v / dist.len().max(1) as f64)
@@ -560,7 +494,7 @@ impl Hammer {
             global_chs,
             weights,
             input: dist.clone(),
-            output,
+            output: output.expect("a reconstructing goal yields an output"),
         }
     }
 
@@ -603,6 +537,42 @@ impl Hammer {
     }
 }
 
+/// The message of the infallible wrappers' `expect`: their token is
+/// never cancelled.
+const UNCANCELLED: &str = "a fresh token never fires";
+
+/// The kernel one call runs on, resolved once per call by
+/// [`Hammer::plan`].
+enum Plan<'a> {
+    /// The scalar oracle in [`kernel::reference`](crate::kernel::reference).
+    Reference,
+    /// The blocked, branchless kernel over one or two key limbs.
+    Exact(Keys<'a>),
+    /// The LSH-forest candidate sweeps; the forest is built on first use.
+    Ann(AnnParams, OnceCell<AnnIndex>),
+}
+
+/// The stages of Algorithm 1 one call asks [`Hammer::run`] for.
+enum Goal<'w> {
+    /// CHS → weights.
+    Weights,
+    /// CHS (when the weight scheme inverts it) → weights → scores →
+    /// apply.
+    Reconstruct,
+    /// Like [`Goal::Reconstruct`], but the CHS is always measured.
+    Trace,
+    /// Caller-supplied weights → scores → apply.
+    WithWeights(&'w [f64]),
+}
+
+/// What [`Hammer::run`] computed; stages the goal skipped are empty.
+#[derive(Default)]
+struct Stages {
+    global_chs: Vec<f64>,
+    weights: Vec<f64>,
+    output: Option<Distribution>,
+}
+
 /// Number of floating-point operations HAMMER performs for `n_unique`
 /// distinct outcomes, per the §6.6 complexity analysis:
 /// `N² + N` (weights) + `N²` (likelihoods) + `N` (normalization).
@@ -640,6 +610,10 @@ mod tests {
 
     fn bs(s: &str) -> BitString {
         BitString::parse(s).unwrap()
+    }
+
+    fn takes_ann(h: &Hammer, d: &Distribution) -> bool {
+        matches!(h.plan(d), Plan::Ann(..))
     }
 
     /// The Fig. 4 / Fig. 6 running example.
@@ -735,7 +709,7 @@ mod tests {
         let d = fig4();
         let h = Hammer::new();
         let w = h.weights(&d);
-        let chs = kernel::global_chs(d.keys(), d.probs(), 2);
+        let chs = kernel::reference::global_chs(d.as_slice(), 2);
         assert_eq!(w.len(), 2); // n=3 → d < 1.5 → bins {0, 1}
                                 // W[d] · (CHS_total[d] / N) = 1.
         for (wi, ci) in w.iter().zip(&chs) {
@@ -751,7 +725,7 @@ mod tests {
             ..HammerConfig::paper()
         });
         let w = h.weights(&d);
-        let chs = kernel::global_chs(d.keys(), d.probs(), 2);
+        let chs = kernel::reference::global_chs(d.as_slice(), 2);
         for (wi, ci) in w.iter().zip(&chs) {
             assert!((wi * ci - 1.0).abs() < 1e-12);
         }
@@ -841,12 +815,12 @@ mod tests {
             ..HammerConfig::paper()
         };
         let h = Hammer::with_config(local(4)).with_threads(2);
-        assert!(h.ann_params(&d).is_some(), "local + at scale must engage");
+        assert!(takes_ann(&h, &d), "local + at scale must engage");
         // threads == 1 pins the exact scalar oracle.
-        assert!(h.clone().with_threads(1).ann_params(&d).is_none());
+        assert!(!takes_ann(&h.clone().with_threads(1), &d));
         // Below the crossover the exact blocked kernel stays in charge.
         let below = Hammer::with_config(local(1000)).with_threads(2);
-        assert!(below.ann_params(&d).is_none());
+        assert!(!takes_ann(&below, &d));
         // Explicitly disabled tuning never engages.
         let off = HammerConfig {
             kernel: crate::KernelTuning {
@@ -859,13 +833,10 @@ mod tests {
             },
             ..local(4)
         };
-        assert!(Hammer::with_config(off)
-            .with_threads(2)
-            .ann_params(&d)
-            .is_none());
+        assert!(!takes_ann(&Hammer::with_config(off).with_threads(2), &d));
         // The paper's half-width default is never local enough for LSH,
         // so default configs keep the exact kernel at any scale.
-        assert!(Hammer::new().with_threads(8).ann_params(&d).is_none());
+        assert!(!takes_ann(&Hammer::new().with_threads(8), &d));
     }
 
     #[test]
@@ -908,7 +879,7 @@ mod tests {
             ..base
         };
         let approx = Hammer::with_config(ann_cfg).with_threads(3);
-        assert!(approx.ann_params(&d).is_some());
+        assert!(takes_ann(&approx, &d));
         let exact = Hammer::with_config(exact_cfg).with_threads(3);
         let (a, e) = (approx.reconstruct(&d), exact.reconstruct(&d));
         // The auto-resolved forest over this tiny support (k = 4,
@@ -926,6 +897,39 @@ mod tests {
         assert_eq!(a, again);
     }
 
+    /// A local-neighborhood config whose plan is the LSH forest on any
+    /// support of at least two outcomes (with ≥ 2 threads).
+    fn ann_config() -> HammerConfig {
+        HammerConfig {
+            neighborhood: NeighborhoodLimit::Fixed(10),
+            kernel: crate::KernelTuning {
+                ann: crate::AnnTuning {
+                    crossover: 2,
+                    ..crate::AnnTuning::default()
+                },
+                ..crate::KernelTuning::default()
+            },
+            ..HammerConfig::paper()
+        }
+    }
+
+    /// `n` distinct seeded `n_bits`-bit outcomes with skewed weights.
+    fn seeded(n: usize, n_bits: usize) -> Distribution {
+        let mut state = 0x7ACE_u64;
+        let pairs = (0..n).map(|i| {
+            let mut key = 0u128;
+            for _ in 0..2 {
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                key = (key << 64) | u128::from(state);
+            }
+            let key = key & (u128::MAX >> (128 - n_bits));
+            (BitString::from_u128(key, n_bits), 1.0 + (i % 7) as f64)
+        });
+        Distribution::from_probs(n_bits, pairs).unwrap()
+    }
+
     #[test]
     fn trace_is_consistent_with_reconstruct() {
         let d = fig4();
@@ -937,6 +941,40 @@ mod tests {
         // Average CHS = global / N.
         for (a, g) in t.average_chs.iter().zip(&t.global_chs) {
             assert!((a * 6.0 - g).abs() < 1e-12);
+        }
+        // Two key limbs, and the LSH forest (built once for both sweeps).
+        let cases = [
+            (seeded(300, 100), HammerConfig::paper()),
+            (seeded(300, 64), ann_config()),
+        ];
+        for (d, config) in cases {
+            let h = Hammer::with_config(config).with_threads(2);
+            let t = h.trace(&d);
+            assert_eq!(t.output, h.reconstruct(&d), "n_bits={}", d.n_bits());
+            assert_eq!(t.weights, h.weights(&d));
+            assert_eq!(t.global_chs.len(), t.max_distance);
+        }
+    }
+
+    #[test]
+    fn each_reconstruct_bumps_its_plans_counter() {
+        let plan =
+            |name: &str| hammer_obs::Registry::global().counter(&format!("core.plan.{name}"));
+        let cases = [
+            ("reference", seeded(40, 24), HammerConfig::paper(), 1),
+            ("exact", seeded(40, 24), HammerConfig::paper(), 2),
+            ("exact_wide", seeded(40, 100), HammerConfig::paper(), 2),
+            ("ann", seeded(40, 64), ann_config(), 2),
+        ];
+        for (name, d, config, threads) in cases {
+            let counter = plan(name);
+            let before = counter.get();
+            let _ = Hammer::with_config(config)
+                .with_threads(threads)
+                .reconstruct(&d);
+            // Other tests run in parallel and may bump the same global
+            // counter, so only a lower bound is exact.
+            assert!(counter.get() > before, "core.plan.{name} not bumped");
         }
     }
 

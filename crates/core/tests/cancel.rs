@@ -83,7 +83,17 @@ fn uncancelled_wide_and_forced_parallel_paths_are_bit_identical() {
 #[test]
 fn uncancelled_ann_path_is_bit_identical() {
     let token = CancelToken::new();
-    let config = HammerConfig {
+    let d = support(600, 64);
+    let h = Hammer::with_config(ann_config()).with_threads(3);
+    assert_eq!(
+        h.reconstruct(&d),
+        h.try_reconstruct(&d, &token).expect("token never fires")
+    );
+}
+
+/// The LSH-forest plan: a local neighborhood with a tiny crossover.
+fn ann_config() -> HammerConfig {
+    HammerConfig {
         neighborhood: NeighborhoodLimit::Fixed(10),
         kernel: KernelTuning {
             ann: AnnTuning {
@@ -94,29 +104,35 @@ fn uncancelled_ann_path_is_bit_identical() {
             ..KernelTuning::default()
         },
         ..HammerConfig::paper()
-    };
-    let d = support(600, 64);
-    let h = Hammer::with_config(config).with_threads(3);
-    assert_eq!(
-        h.reconstruct(&d),
-        h.try_reconstruct(&d, &token).expect("token never fires")
-    );
+    }
 }
 
 #[test]
 fn pre_expired_deadline_fails_fast_without_computing() {
-    let d = support(4000, 64);
-    let h = Hammer::new().with_threads(4);
-    let token = CancelToken::after(Duration::ZERO);
-    let start = Instant::now();
-    assert_eq!(h.try_reconstruct(&d, &token), Err(Cancelled));
-    // No kernel pass ran: an expired token returns in microseconds,
-    // not the milliseconds a 4000² sweep costs. Generous bound for CI.
-    assert!(
-        start.elapsed() < Duration::from_millis(250),
-        "pre-expired token still took {:?}",
-        start.elapsed()
-    );
+    // One limb, two limbs and the LSH forest: every threaded plan.
+    let cases = [
+        (64usize, HammerConfig::paper()),
+        (100, HammerConfig::paper()),
+        (64, ann_config()),
+    ];
+    for (n_bits, config) in cases {
+        let d = support(4000, n_bits);
+        let h = Hammer::with_config(config).with_threads(4);
+        let token = CancelToken::after(Duration::ZERO);
+        let start = Instant::now();
+        assert_eq!(
+            h.try_reconstruct(&d, &token),
+            Err(Cancelled),
+            "n_bits={n_bits}"
+        );
+        // No kernel pass ran: an expired token returns in microseconds,
+        // not the milliseconds a 4000² sweep costs. Generous bound for CI.
+        assert!(
+            start.elapsed() < Duration::from_millis(250),
+            "n_bits={n_bits}: pre-expired token still took {:?}",
+            start.elapsed()
+        );
+    }
 }
 
 #[test]
@@ -141,36 +157,39 @@ fn counts_entry_point_honors_the_token() {
 #[test]
 fn mid_flight_cancel_stops_the_kernel_early() {
     // Big enough that the O(N²) sweep takes a comfortably measurable
-    // time (~tens of thousands of outcomes), small enough for CI.
-    let d = support(24_000, 64);
-    let h = Hammer::new().with_threads(4);
+    // time (~tens of thousands of outcomes), small enough for CI; one
+    // and two key limbs.
+    for (n, n_bits) in [(24_000, 64), (16_000, 100)] {
+        let d = support(n, n_bits);
+        let h = Hammer::new().with_threads(4);
 
-    // Baseline: the uncancelled run.
-    let start = Instant::now();
-    let _full = h.reconstruct(&d);
-    let uncancelled = start.elapsed();
+        // Baseline: the uncancelled run.
+        let start = Instant::now();
+        let _full = h.reconstruct(&d);
+        let uncancelled = start.elapsed();
 
-    // Cancel from a watchdog thread at ~1/10 of the baseline.
-    let token = CancelToken::new();
-    let trip_after = uncancelled / 10;
-    let watchdog = {
-        let token = token.clone();
-        std::thread::spawn(move || {
-            std::thread::sleep(trip_after);
-            token.cancel();
-        })
-    };
-    let start = Instant::now();
-    let got = h.try_reconstruct(&d, &token);
-    let cancelled_in = start.elapsed();
-    watchdog.join().unwrap();
+        // Cancel from a watchdog thread at ~1/10 of the baseline.
+        let token = CancelToken::new();
+        let trip_after = uncancelled / 10;
+        let watchdog = {
+            let token = token.clone();
+            std::thread::spawn(move || {
+                std::thread::sleep(trip_after);
+                token.cancel();
+            })
+        };
+        let start = Instant::now();
+        let got = h.try_reconstruct(&d, &token);
+        let cancelled_in = start.elapsed();
+        watchdog.join().unwrap();
 
-    assert_eq!(got, Err(Cancelled));
-    // The run must die well before the full sweep: under half the
-    // uncancelled baseline even with scheduler noise (in practice the
-    // stop is within one tile, i.e. milliseconds).
-    assert!(
-        cancelled_in < uncancelled / 2 + Duration::from_millis(50),
-        "cancel took {cancelled_in:?} vs uncancelled {uncancelled:?}"
-    );
+        assert_eq!(got, Err(Cancelled), "n_bits={n_bits}");
+        // The run must die well before the full sweep: under half the
+        // uncancelled baseline even with scheduler noise (in practice
+        // the stop is within one tile, i.e. milliseconds).
+        assert!(
+            cancelled_in < uncancelled / 2 + Duration::from_millis(50),
+            "n_bits={n_bits}: cancel took {cancelled_in:?} vs uncancelled {uncancelled:?}"
+        );
+    }
 }

@@ -1,14 +1,19 @@
 //! Property tests pinning the blocked/branchless/work-stealing kernel
-//! to the PR 1 scalar reference oracle.
+//! to the scalar reference oracle, plus golden fingerprints of
+//! `Hammer::reconstruct` outputs on every kernel plan.
 //!
-//! Every schedule — blocked serial, and work-stealing with 1, 2 and 7
-//! workers — must agree with `kernel::reference` to `≤ 1e-9` on random
-//! supports, for both filter rules and for degenerate weight tables
-//! (empty, all-zero, and a full 65-slot table covering every possible
-//! Hamming distance of 64-bit keys).
+//! Every schedule — blocked serial at one thread, work-stealing with 2
+//! and 7 workers — over one and two key limbs must agree with
+//! `kernel::reference` to `≤ 1e-9` on random supports, for both filter
+//! rules and for degenerate weight tables (empty, all-zero, and full
+//! 65- and 129-slot tables covering every possible Hamming distance).
 
-use hammer_core::kernel::{self, reference};
-use hammer_core::{FilterRule, KernelTuning};
+use hammer_core::kernel::{self, reference, Keys};
+use hammer_core::{
+    AnnTuning, CancelToken, FilterRule, Hammer, HammerConfig, KernelTuning, NeighborhoodLimit,
+};
+use hammer_dist::fingerprint::Fnv1a;
+use hammer_dist::{BitString, Distribution};
 use proptest::prelude::*;
 
 const TOLERANCE: f64 = 1e-9;
@@ -96,6 +101,29 @@ fn tuning() -> impl Strategy<Value = KernelTuning> {
     ]
 }
 
+fn scores(
+    keys: Keys<'_>,
+    probs: &[f64],
+    weights: &[f64],
+    filter: FilterRule,
+    threads: usize,
+    tuning: &KernelTuning,
+) -> Vec<f64> {
+    let live = CancelToken::new();
+    kernel::scores_sweep(keys, probs, weights, filter, threads, tuning, &live).unwrap()
+}
+
+fn chs(
+    keys: Keys<'_>,
+    probs: &[f64],
+    max_d: usize,
+    threads: usize,
+    tuning: &KernelTuning,
+) -> Vec<f64> {
+    let live = CancelToken::new();
+    kernel::chs_sweep(keys, probs, max_d, threads, tuning, &live).unwrap()
+}
+
 proptest! {
     #[test]
     fn blocked_kernel_matches_oracle_across_schedules(
@@ -105,15 +133,8 @@ proptest! {
     ) {
         for filter in [FilterRule::LowerProbabilityOnly, FilterRule::None] {
             let oracle = reference::scores(&entries, &weights, filter);
-            let serial = kernel::scores(&keys, &probs, &weights, filter, &tuning);
-            prop_assert_eq!(serial.len(), oracle.len());
-            for (a, b) in oracle.iter().zip(&serial) {
-                prop_assert!((a - b).abs() < TOLERANCE, "serial: {} vs {}", a, b);
-            }
             for threads in [1usize, 2, 7] {
-                let got = kernel::scores_parallel(
-                    &keys, &probs, &weights, filter, threads, &tuning,
-                );
+                let got = scores(Keys::One(&keys), &probs, &weights, filter, threads, &tuning);
                 prop_assert_eq!(got.len(), oracle.len());
                 for (a, b) in oracle.iter().zip(&got) {
                     prop_assert!(
@@ -132,14 +153,11 @@ proptest! {
         tuning in tuning(),
     ) {
         let oracle = reference::global_chs(&entries, max_d);
-        let serial = kernel::global_chs(&keys, &probs, max_d);
-        prop_assert_eq!(serial.len(), max_d);
         for threads in [1usize, 2, 7] {
-            let got = kernel::global_chs_parallel(&keys, &probs, max_d, threads, &tuning);
+            let got = chs(Keys::One(&keys), &probs, max_d, threads, &tuning);
             prop_assert_eq!(got.len(), max_d);
-            for ((a, b), c) in oracle.iter().zip(&serial).zip(&got) {
+            for (a, b) in oracle.iter().zip(&got) {
                 prop_assert!((a - b).abs() < TOLERANCE);
-                prop_assert!((a - c).abs() < TOLERANCE);
             }
         }
     }
@@ -155,9 +173,7 @@ proptest! {
         for filter in [FilterRule::LowerProbabilityOnly, FilterRule::None] {
             let oracle = reference::scores(&entries, &weights, filter);
             for threads in [1usize, 2, 7] {
-                let got = kernel::wide::scores_parallel(
-                    &lo, &hi, &probs, &weights, filter, threads, &tuning,
-                );
+                let got = scores(Keys::Two(&lo, &hi), &probs, &weights, filter, threads, &tuning);
                 prop_assert_eq!(got.len(), oracle.len());
                 for (a, b) in oracle.iter().zip(&got) {
                     prop_assert!(
@@ -177,13 +193,106 @@ proptest! {
     ) {
         let oracle = reference::global_chs(&entries, max_d);
         for threads in [1usize, 2, 7] {
-            let got = kernel::wide::global_chs_parallel(
-                &lo, &hi, &probs, max_d, threads, &tuning,
-            );
+            let got = chs(Keys::Two(&lo, &hi), &probs, max_d, threads, &tuning);
             prop_assert_eq!(got.len(), max_d);
             for (a, b) in oracle.iter().zip(&got) {
                 prop_assert!((a - b).abs() < TOLERANCE);
             }
         }
     }
+}
+
+/// A seeded pseudo-random support of `n` outcomes over `n_bits`-bit
+/// keys with skewed (non-uniform) probabilities.
+fn seeded(n: usize, n_bits: usize, seed: u64) -> Distribution {
+    let mut state = seed;
+    let mut step = || {
+        state = state
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        state
+    };
+    let mask = |v: u128| {
+        if n_bits == 128 {
+            v
+        } else {
+            v & ((1u128 << n_bits) - 1)
+        }
+    };
+    let pairs: Vec<(BitString, f64)> = (0..n)
+        .map(|i| {
+            let key = mask(u128::from(step()) | (u128::from(step()) << 64));
+            (BitString::from_u128(key, n_bits), 1.0 + (i % 19) as f64)
+        })
+        .collect();
+    Distribution::from_probs(n_bits, pairs).expect("positive weights")
+}
+
+/// FNV-1a over every output entry's key limbs and probability bits.
+fn fingerprint(d: &Distribution) -> u64 {
+    let mut h = Fnv1a::new();
+    h.write_usize(d.n_bits());
+    h.write_usize(d.len());
+    for &(key, p) in d.as_slice() {
+        h.write_u64(key as u64);
+        h.write_u64((key >> 64) as u64);
+        h.write_f64(p);
+    }
+    h.finish()
+}
+
+/// Golden bit-identity: `Hammer::reconstruct` outputs on seeded supports
+/// hash to fixed constants on every kernel path — blocked serial,
+/// work-stealing over one and two key limbs, the unfiltered rule, the
+/// LSH forest and the scalar reference. A refactor of any kernel or of
+/// the dispatch must leave every output bit where it was; a deliberate
+/// numeric change has to update these constants in the same commit.
+#[test]
+fn reconstruct_outputs_match_the_golden_fingerprints() {
+    let paper = HammerConfig::paper();
+    let unfiltered = HammerConfig {
+        filter: FilterRule::None,
+        ..paper
+    };
+    let ann = HammerConfig {
+        neighborhood: NeighborhoodLimit::Fixed(10),
+        kernel: KernelTuning {
+            ann: AnnTuning {
+                crossover: 2,
+                ..AnnTuning::default()
+            },
+            ..KernelTuning::default()
+        },
+        ..paper
+    };
+    // (label, outcomes, bits, config, threads, expected fingerprint);
+    // `t<k>` is the thread count, `none` the unfiltered rule, `ref` the
+    // scalar oracle pinned by one thread.
+    let cases: [(&str, usize, usize, HammerConfig, usize, u64); 12] = [
+        ("serial w24", 500, 24, paper, 2, 0x78bb_8624_fb37_a0ae),
+        ("w64 t2", 3000, 64, paper, 2, 0x0efd_6036_0d8f_dd2f),
+        ("w64 t5", 3000, 64, paper, 5, 0x0efd_6036_0d8f_dd2f),
+        ("w100 t2", 3000, 100, paper, 2, 0x9ad7_af71_6302_68c3),
+        ("w100 t5", 3000, 100, paper, 5, 0x9ad7_af71_6302_68c3),
+        ("none w24", 500, 24, unfiltered, 2, 0xa3d1_dea0_5ed3_fe56),
+        ("none w64", 3000, 64, unfiltered, 3, 0x3137_5039_3611_a361),
+        ("ann w64", 3000, 64, ann, 2, 0xe2ec_f937_9838_c6d9),
+        ("ann w100", 3000, 100, ann, 3, 0xcc03_1613_70ab_9c44),
+        ("ref w24", 500, 24, paper, 1, 0xfa4a_877b_3668_64ca),
+        ("ref w100", 500, 100, paper, 1, 0x13db_085d_75f5_2ecc),
+        ("ref none", 500, 64, unfiltered, 1, 0xbed3_b8ce_e7ea_2bcd),
+    ];
+    let mut mismatches = Vec::new();
+    for (label, n, n_bits, config, threads, want) in cases {
+        let d = seeded(n, n_bits, 0x601D_0000 ^ (n_bits as u64));
+        let got = fingerprint(
+            &Hammer::with_config(config)
+                .with_threads(threads)
+                .reconstruct(&d),
+        );
+        if got != want {
+            mismatches.push(format!("{label}: {got:#018x} (want {want:#018x})"));
+        }
+    }
+    assert!(mismatches.is_empty(), "{}", mismatches.join("\n"));
 }

@@ -13,8 +13,8 @@
 //! * [`codec`] — std-only payload codecs that stream
 //!   [`hammer_dist::Counts`] / [`hammer_dist::Distribution`] directly
 //!   from their structure-of-arrays limb views and re-validate every
-//!   invariant on decode ([`Distribution::from_raw_parts`]
-//!   (hammer_dist::Distribution::from_raw_parts)), so hostile bytes
+//!   invariant on decode
+//!   ([`hammer_dist::Distribution::from_raw_parts`]), so hostile bytes
 //!   surface as [`WireError`]s, never panics;
 //! * [`serve`] / [`ServerHandle`] — a `std::net` TCP runtime: acceptor,
 //!   per-connection framed reader/writer threads, a **bounded** request
